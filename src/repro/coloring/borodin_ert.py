@@ -38,11 +38,18 @@ The public entry point :func:`degree_list_coloring` also accepts instances
 whose guarantee comes from a slack vertex even if the graph *is* a Gallai
 tree, because this is exactly the situation of a happy vertex whose rich
 ball contains a vertex of degree at most ``d - 1`` (Lemma 3.2).
+
+:func:`slack_coloring_on_masks` is the slack case alone, on CSR indices
+and interned color masks instead of labels and frozensets.  It makes the
+same picks as :func:`degree_list_coloring` on a connected graph with a
+slack vertex and declines (returns ``None``) every other instance, so a
+caller runs it first and falls back to the label solver, which stays the
+general solver and the reference.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 
 from repro.coloring.assignment import Color, ListAssignment
 from repro.coloring.exact import list_coloring_search
@@ -54,7 +61,11 @@ from repro.graphs.properties.gallai import (
     block_is_odd_cycle,
 )
 
-__all__ = ["degree_list_coloring", "is_degree_choosable_instance"]
+__all__ = [
+    "degree_list_coloring",
+    "is_degree_choosable_instance",
+    "slack_coloring_on_masks",
+]
 
 
 def is_degree_choosable_instance(graph: Graph, lists: ListAssignment) -> bool:
@@ -167,6 +178,84 @@ def _greedy_towards(
             )
         coloring[v] = min(available, key=repr)
     return coloring
+
+
+def slack_coloring_on_masks(
+    offsets: Sequence[int],
+    neighbors: Sequence[int],
+    members: Sequence[int],
+    masks: Sequence[int],
+    labels: Sequence[Vertex],
+) -> list[tuple[int, int]] | None:
+    """The slack case of Theorem 1.1 on CSR indices and color bitmasks.
+
+    ``members`` are CSR indices of the graph given by ``offsets`` /
+    ``neighbors``, in ascending order; ``masks[k]`` is the list of
+    ``members[k]`` as a bitmask over a repr-sorted
+    :class:`~repro.coloring.palette.PaletteUniverse`, and ``labels`` maps
+    an index to its vertex label.
+
+    Returns ``(index, color bit)`` pairs in the order in which
+    :func:`degree_list_coloring` assigns the colors on the induced
+    subgraph: the first vertex with more colors than neighbours inside the
+    set (ascending index, a single vertex needs one color) is the target,
+    the others are colored by decreasing BFS distance from it with
+    ``repr(label)`` breaking ties, each taking its lowest free bit — the
+    label solver's ``min(available, key=repr)``.  Returns ``None`` when
+    the instance is outside that case: some ``|L(v)| < d(v)``, no slack
+    vertex, the set does not induce a connected subgraph, or a vertex runs
+    out of colors.  :func:`degree_list_coloring` then either solves it or
+    raises the precise error.
+    """
+    position = {i: k for k, i in enumerate(members)}
+    adjacency: list[list[int]] = []
+    target = -1
+    for k, i in enumerate(members):
+        inside = [
+            position[j] for j in neighbors[offsets[i]:offsets[i + 1]]
+            if j in position
+        ]
+        size = masks[k].bit_count()
+        if size < len(inside):
+            return None
+        if target < 0 and size > len(inside):
+            target = k
+        adjacency.append(inside)
+    if target < 0:
+        return None
+    distance = [-1] * len(members)
+    distance[target] = 0
+    frontier = [target]
+    reached = 1
+    while frontier:
+        nxt = []
+        for k in frontier:
+            step = distance[k] + 1
+            for j in adjacency[k]:
+                if distance[j] < 0:
+                    distance[j] = step
+                    nxt.append(j)
+        reached += len(nxt)
+        frontier = nxt
+    if reached != len(members):
+        return None
+    order = sorted(
+        range(len(members)),
+        key=lambda k: (-distance[k], repr(labels[members[k]])),
+    )
+    chosen = [0] * len(members)  # one-bit mask of the color taken, 0 if none
+    picks: list[tuple[int, int]] = []
+    for k in order:
+        used = 0
+        for j in adjacency[k]:
+            used |= chosen[j]
+        free = masks[k] & ~used
+        if not free:
+            return None
+        low = free & -free
+        chosen[k] = low
+        picks.append((members[k], low.bit_length() - 1))
+    return picks
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,9 @@ Lemma 3.2:
    lists by the colors outside the ball, and apply Theorem 1.1
    (:func:`repro.coloring.borodin_ert.degree_list_coloring`) to each ball —
    the ball contains a vertex with spare colors or is not a Gallai tree, so
-   the constructive solver succeeds.
+   the constructive solver succeeds.  The flat backend runs the slack case
+   on CSR masks (:func:`~repro.coloring.borodin_ert.slack_coloring_on_masks`)
+   and calls the label solver only for balls outside it.
 
 Every phase charges rounds to the shared ledger with a reference to the
 paper's accounting.
@@ -33,7 +35,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.coloring.assignment import Color, ListAssignment
-from repro.coloring.borodin_ert import degree_list_coloring
+from repro.coloring.borodin_ert import (
+    degree_list_coloring,
+    slack_coloring_on_masks,
+)
 from repro.coloring.palette import FlatListAssignment
 from repro.errors import ColoringError, ListAssignmentError
 from repro.graphs.frozen import FrozenGraph
@@ -203,29 +208,26 @@ def extend_coloring_to_happy_set(
                     flat_state.uncolor(v)
                 if v not in happy:
                     report.recolored_sad_vertices += 1
-        if flat_state is not None:
-            ball_lists = flat_state.pruned_ball_lists(ball)
-        else:
-            pruned: dict[Vertex, frozenset] = {}
-            for v in ball:
-                used = {
-                    new_coloring[u]
-                    for u in graph.neighbors(v)
-                    if u in new_coloring and u not in ball
-                }
-                pruned[v] = lists[v] - used
-            ball_lists = ListAssignment(pruned)
-        ball_graph = graph.subgraph(ball)
         try:
-            ball_coloring = degree_list_coloring(ball_graph, ball_lists)
+            if flat_state is not None:
+                ball_coloring = flat_state.color_ball(ball)
+            else:
+                pruned: dict[Vertex, frozenset] = {}
+                for v in ball:
+                    used = {
+                        new_coloring[u]
+                        for u in graph.neighbors(v)
+                        if u in new_coloring and u not in ball
+                    }
+                    pruned[v] = lists[v] - used
+                ball_coloring = degree_list_coloring(
+                    graph.subgraph(ball), ListAssignment(pruned)
+                )
         except ColoringError as exc:
             raise ColoringError(
                 f"Theorem 1.1 extension failed on the rich ball of root {root!r}: {exc}"
             ) from exc
         new_coloring.update(ball_coloring)
-        if flat_state is not None:
-            for v, color in ball_coloring.items():
-                flat_state.set_color(v, color)
         for v in ball:
             uncolored.discard(v)
         ball_rounds = max(ball_rounds, 2 * radius)
@@ -249,8 +251,8 @@ class _FlatColoringState:
 
     Keeps ``color_index[i]`` (the palette-universe index of the color of
     the vertex at CSR index ``i``, or ``-1``) in sync with the label dict,
-    so the hot kernels — layered tree coloring, Observation 5.1 pruning on
-    the root balls — run as integer mask ops over the CSR arrays instead
+    so the hot kernels — layered tree coloring, Theorem 1.1 on the root
+    balls — run as integer mask ops over the CSR arrays instead
     of per-vertex set algebra.  Tie-breaks read the lowest set bit, which
     by the universe's repr-sorted interning equals the dict pipeline's
     ``min(available, key=repr)``.
@@ -280,18 +282,11 @@ class _FlatColoringState:
     def uncolor(self, v: Vertex) -> None:
         self.color_index[self._index[v]] = -1
 
-    def set_color(self, v: Vertex, color: Color) -> None:
-        self.color_index[self._index[v]] = self.universe.get_index(color)
-
-    def _used_mask(self, i: int, skip=None) -> int:
-        """OR of the color bits of ``i``'s colored neighbours (skipping a set)."""
+    def _used_mask(self, i: int) -> int:
+        """OR of the color bits of ``i``'s colored neighbours."""
         used = 0
         color_index = self.color_index
-        neighbors = self._neighbors
-        for k in range(self._offsets[i], self._offsets[i + 1]):
-            j = neighbors[k]
-            if skip is not None and j in skip:
-                continue
+        for j in self._neighbors[self._offsets[i]:self._offsets[i + 1]]:
             c = color_index[j]
             if c >= 0:
                 used |= 1 << c
@@ -322,19 +317,43 @@ class _FlatColoringState:
             coloring[v] = color
             self.color_index[i] = get_index(color)
 
-    def pruned_ball_lists(self, ball: set[Vertex]) -> ListAssignment:
-        """Observation 5.1 pruning of a root ball, as mask operations."""
+    def color_ball(self, ball: set[Vertex]) -> dict[Vertex, Color]:
+        """Theorem 1.1 on an uncolored root ball, as mask operations.
+
+        Prunes every ball list by the colors of its neighbours (Observation
+        5.1; the ball was just uncolored, so only neighbours outside it
+        count) and runs :func:`slack_coloring_on_masks`.  A ball outside
+        the slack case goes to :func:`degree_list_coloring` on lists built
+        from the same masks.  Either way the picks, and their order, are
+        the dict pipeline's.
+        """
         index = self._index
-        ball_idx = {index[v] for v in ball}
-        vertices = []
-        masks = []
+        labels = self.graph._labels
+        members = sorted(index[v] for v in ball)
         mask_of = self.lists.mask_of
-        for v in ball:
-            vertices.append(v)
-            masks.append(mask_of(v) & ~self._used_mask(index[v], skip=ball_idx))
-        return ListAssignment(
-            FlatListAssignment.from_masks(self.universe, vertices, masks)
+        masks = [mask_of(labels[i]) & ~self._used_mask(i) for i in members]
+        picks = slack_coloring_on_masks(
+            self._offsets, self._neighbors, members, masks, labels
         )
+        color_index = self.color_index
+        if picks is None:
+            vertices = [labels[i] for i in members]
+            ball_coloring = degree_list_coloring(
+                self.graph.subgraph(vertices),
+                ListAssignment(
+                    FlatListAssignment.from_masks(self.universe, vertices, masks)
+                ),
+            )
+            get_index = self.universe.get_index
+            for v, color in ball_coloring.items():
+                color_index[index[v]] = get_index(color)
+            return ball_coloring
+        color_of = self.universe.color_of
+        ball_coloring = {}
+        for i, bit in picks:
+            color_index[i] = bit
+            ball_coloring[labels[i]] = color_of(bit)
+        return ball_coloring
 
 
 def _color_batch(

@@ -286,9 +286,17 @@ class BatchColorReductionAlgorithm(BatchNodeAlgorithm):
     segmented OR of neighbour color bits plus a lowest-zero-bit extraction
     (which needs ``Δ + 1 < 63``; wider palettes decline :meth:`can_run`
     and fall back per node).
+
+    Every node broadcasts its color, so the program runs in
+    ``"broadcast"`` exchange mode.  A class above ``Δ`` holds exactly the
+    nodes that started in it (recolored nodes land in ``{0..Δ}``), so
+    :meth:`receive_broadcast` skips the inbox gather and the reduction in
+    the many rounds whose class is empty; the round still counts its
+    ``num_slots`` messages.
     """
 
     fallback = ColorReductionAlgorithm
+    exchange_mode = "broadcast"
 
     def can_run(self, context: BatchContext) -> bool:
         inputs = context.inputs
@@ -308,10 +316,18 @@ class BatchColorReductionAlgorithm(BatchNodeAlgorithm):
         self.palette = int(inputs[0][1])
         self.max_degree = int(inputs[0][2])
         self.target = self.palette - 1
-        self._src = context.sources
+        self._held = set(np.unique(self.colors).tolist())
 
     def send_batch(self, round_number: int):
-        return self.colors[self._src]
+        return self.colors
+
+    def receive_broadcast(self, round_number: int, node_values) -> None:
+        if self.target in self._held:
+            self.receive_batch(
+                round_number, node_values[self.context.endpoints], None
+            )
+        else:
+            self.target -= 1
 
     def receive_batch(self, round_number: int, inbox, delivered) -> None:
         np = self._np

@@ -218,7 +218,6 @@ def ruling_set(
         if engine == "csr" and isinstance(graph, FrozenGraph)
         else _distance_at_most
     )
-    n = graph.number_of_vertices()
     bits = max(1, (max(identifiers[v] for v in subset)).bit_length())
 
     def recurse(candidates: set[Vertex], bit: int) -> set[Vertex]:
@@ -233,17 +232,18 @@ def ruling_set(
         ones = candidates - zeros
         kept_zero = recurse(zeros, bit - 1)
         kept_one = recurse(ones, bit - 1)
-        ledger.charge(
-            "ruling set: distance probe",
-            alpha,
-            reference="Awerbuch et al. [3], level merge",
-        )
         close = probe(graph, kept_zero, kept_one, alpha - 1)
         return kept_zero | (kept_one - close)
 
     result = recurse(set(subset), bits - 1)
+    # the merges of one identifier bit run in parallel: one alpha-round
+    # probe per recursion level
     rounds = alpha * bits
-    del n
+    ledger.charge(
+        "ruling set: distance probes",
+        rounds,
+        reference="Awerbuch et al. [3], one level merge per identifier bit",
+    )
     return result, rounds
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from repro.graphs.graph import Graph, Vertex
+from repro.graphs.properties.degeneracy import degeneracy
 
 __all__ = ["find_clique_of_size", "is_clique", "max_clique_greedy"]
 
@@ -26,12 +27,14 @@ def is_clique(graph: Graph, vertices) -> bool:
 def find_clique_of_size(graph: Graph, size: int) -> tuple[Vertex, ...] | None:
     """Find a clique on exactly ``size`` vertices, or return ``None``.
 
-    The search enumerates, for every vertex ``v`` of degree at least
-    ``size - 1``, the subsets of ``size - 1`` neighbours of ``v`` restricted
-    to neighbours that themselves have degree at least ``size - 1``.  For
-    sparse graphs (bounded mad) the neighbourhoods are small, so this is
-    fast; the enumeration is additionally pruned by a greedy intersection
-    test.
+    A clique on ``size`` vertices lies in the ``(size - 1)``-core, so a
+    graph of smaller degeneracy (one cached peel on a frozen graph) has
+    none and the search is skipped.  Otherwise the search enumerates, for
+    every vertex ``v`` of degree at least ``size - 1``, the subsets of
+    ``size - 1`` neighbours of ``v`` restricted to neighbours that
+    themselves have degree at least ``size - 1``.  For sparse graphs
+    (bounded mad) the neighbourhoods are small, so this is fast; the
+    enumeration is additionally pruned by a greedy intersection test.
     """
     if size <= 0:
         return ()
@@ -42,6 +45,8 @@ def find_clique_of_size(graph: Graph, size: int) -> tuple[Vertex, ...] | None:
     if size == 2:
         for u, v in graph.edges():
             return (u, v)
+        return None
+    if degeneracy(graph) < size - 1:
         return None
     candidates = {v for v in graph if graph.degree(v) >= size - 1}
     for v in candidates:

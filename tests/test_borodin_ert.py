@@ -11,6 +11,7 @@ from repro.coloring.borodin_ert import (
     degree_list_coloring,
     extend_partial_coloring,
     is_degree_choosable_instance,
+    slack_coloring_on_masks,
 )
 from repro.coloring.verification import verify_list_coloring
 from repro.errors import ColoringError
@@ -209,3 +210,115 @@ def test_planar_triangulations_with_degree_lists(seed):
     lists = degree_lists(g)
     coloring = degree_list_coloring(g, lists)
     verify_list_coloring(g, coloring, lists)
+
+
+# -- the mask solver against the label solver ---------------------------------------
+
+#: colors whose repr order differs from their numeric order ("10" < "9")
+MASK_PALETTE = (*range(1, 13), "a", ("b", 1))
+
+
+@st.composite
+def _slack_instances(draw):
+    """A connected graph on mixed labels, with lists |L(v)| >= d(v).
+
+    Returns ``(frozen graph, lists, inner vertices)``: the inner vertices
+    induce the connected graph under test, and a few outer vertices are
+    attached to them so the solver must ignore edges leaving the set.
+    """
+    n = draw(st.integers(min_value=1, max_value=9))
+    pool = draw(st.sampled_from(["ints", "strings", "tuples"]))
+    if pool == "ints":  # multi-digit integers: repr order is not numeric order
+        labels = draw(st.lists(
+            st.integers(min_value=5, max_value=120), min_size=n, max_size=n,
+            unique=True,
+        ))
+    elif pool == "strings":
+        labels = [f"v{k}" for k in draw(st.permutations(range(n)))]
+    else:
+        labels = [(k % 3, str(k)) for k in draw(st.permutations(range(n)))]
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**20)))
+    outer = [("out", k) for k in range(draw(st.integers(min_value=0, max_value=3)))]
+    order = labels + outer
+    rng.shuffle(order)  # CSR index order differs from insertion and repr order
+    graph = Graph()
+    for v in order:
+        graph.add_vertex(v)
+    for k in range(1, n):  # spanning tree keeps it connected
+        graph.add_edge(labels[k], labels[rng.randrange(k)])
+    for _ in range(draw(st.integers(min_value=0, max_value=2 * n))):
+        u, v = rng.sample(labels, 2) if n > 1 else (labels[0], labels[0])
+        if u != v:
+            graph.add_edge(u, v)
+    tight = draw(st.booleans())  # tight lists leave at most a few slack vertices
+    lists = {}
+    for v in labels:
+        extra = 0 if tight and rng.random() < 0.9 else rng.randint(0, 2)
+        lists[v] = frozenset(rng.sample(MASK_PALETTE, graph.degree(v) + extra))
+    for w in outer:
+        graph.add_edge(w, rng.choice(labels))
+        lists[w] = frozenset(rng.sample(MASK_PALETTE, 2))
+    return graph.freeze(), ListAssignment(lists), set(labels)
+
+
+@given(_slack_instances())
+@settings(max_examples=150, deadline=None)
+def test_mask_solver_matches_label_solver(instance):
+    graph, lists, inner = instance
+    flat = lists.flat
+    offsets, neighbors = graph.csr_lists()
+    labels = graph.vertices()
+    members = sorted(graph.index_of(v) for v in inner)
+    masks = [flat.mask_of(labels[i]) for i in members]
+    picks = slack_coloring_on_masks(offsets, neighbors, members, masks, labels)
+    sub = graph.subgraph(inner)
+    has_slack = any(len(lists[v]) > sub.degree(v) for v in sub)
+    if not has_slack:
+        assert picks is None
+        return
+    expected = degree_list_coloring(sub, lists.restrict(inner))
+    got = [(labels[i], flat.universe.color_of(bit)) for i, bit in picks]
+    assert got == list(expected.items())  # same picks, same order
+
+
+def test_mask_solver_declines_outside_the_slack_case():
+    g = classic.cycle(4).freeze()
+    offsets, neighbors = g.csr_lists()
+    labels = g.vertices()
+    members = list(range(4))
+    tight = [0b11] * 4
+    assert slack_coloring_on_masks(offsets, neighbors, members, tight, labels) is None
+    short = [0b111, 0b1, 0b11, 0b11]  # |L(1)| < d(1)
+    assert slack_coloring_on_masks(offsets, neighbors, members, short, labels) is None
+    apart = [0, 2]  # not adjacent on C4: the set is disconnected
+    assert slack_coloring_on_masks(offsets, neighbors, apart, [1, 1], labels) is None
+    assert slack_coloring_on_masks(offsets, neighbors, [0], [0], labels) is None
+    assert slack_coloring_on_masks(offsets, neighbors, [0], [0b110], labels) == [(0, 1)]
+
+
+def test_root_ball_without_slack_falls_back_to_the_label_solver(monkeypatch):
+    """A tight even cycle as the root ball: the flat path must take the fallback."""
+    from repro.core import extension
+
+    graph = classic.cycle(4).freeze()
+    lists = uniform_lists(graph, 2)
+    calls = []
+    solver = extension.degree_list_coloring
+
+    def spy(sub, sub_lists):
+        calls.append(sorted(sub.vertices()))
+        return solver(sub, sub_lists)
+
+    monkeypatch.setattr(extension, "degree_list_coloring", spy)
+    results = {}
+    for backend in ("dict", "flat"):
+        calls.clear()
+        coloring, report = extension.extend_coloring_to_happy_set(
+            graph, lists, happy=set(graph), rich=set(graph), coloring={},
+            radius=2, d=2, backend=backend,
+        )
+        verify_list_coloring(graph, coloring, lists)
+        assert calls == [[0, 1, 2, 3]]  # both backends solve the one ball by labels
+        results[backend] = (coloring, report.ledger.by_phase(), report.rounds)
+    assert results["flat"] == results["dict"]
+    assert list(results["flat"][0].items()) == list(results["dict"][0].items())

@@ -31,6 +31,16 @@ def test_ruling_set_separation_and_domination():
         assert all(other not in dist for other in ruling if other != r)
 
 
+def test_ruling_forest_ledger_matches_its_rounds():
+    """The merges of one identifier bit run in parallel: alpha rounds per bit."""
+    g = planar.stacked_triangulation(400, seed=3).freeze()
+    subset = set(g.vertices()[::3])
+    for engine in ("csr", "labels"):
+        forest = ruling_forest(g, subset, 4, engine=engine)
+        assert forest.rounds == 72
+        assert forest.ledger.total() == forest.rounds
+
+
 def test_ruling_set_empty_subset():
     g = classic.cycle(5)
     ruling, rounds = ruling_set(g, set(), 2)

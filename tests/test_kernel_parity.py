@@ -7,7 +7,7 @@ Three layers of pinning:
   batched engine, the unfused three-pass reference (``reference_exchange``),
   the flat per-node engine and the frozen seed engine must agree on
   outputs, rounds, total and per-round message counts for Cole–Vishkin,
-  the greedy baseline and the wave 2-coloring;
+  the greedy baseline, the color reduction and the wave 2-coloring;
 * native-build gating — ``REPRO_NATIVE`` semantics, the missing-numba
   warning, and numpy-vs-numba bit parity when numba is importable.
 """
@@ -31,6 +31,10 @@ from repro.distributed.cole_vishkin import (
 from repro.distributed.greedy_baseline import (
     BatchGreedyLocalMaximaAlgorithm,
     GreedyLocalMaximaAlgorithm,
+)
+from repro.distributed.linial import (
+    BatchColorReductionAlgorithm,
+    ColorReductionAlgorithm,
 )
 from repro.distributed.wave import BatchWaveTwoColoring, WaveTwoColoring
 from repro.graphs.generators import classic, sparse
@@ -217,6 +221,51 @@ def test_wave_engine_parity(seed, n):
     for v in graph.vertices():
         for u in graph.neighbors(v):
             assert outputs[u] != outputs[v]
+
+
+def _reduction_inputs(graph, seed, spread):
+    """A proper coloring with sparse classes: distinct colors ``spread`` apart."""
+    order = graph.vertices()
+    random.Random(seed).shuffle(order)
+    delta = max(1, graph.max_degree())
+    palette = spread * len(order) + delta + 2
+    return {
+        v: (delta + 1 + spread * k, palette, delta) for k, v in enumerate(order)
+    }, palette
+
+
+@given(seeds, st.integers(min_value=1, max_value=40), st.integers(1, 4))
+@settings(max_examples=20, deadline=None)
+def test_color_reduction_engine_parity(seed, n, spread):
+    graph = sparse.union_of_random_forests(n, 2, seed=seed).freeze()
+    inputs, palette = _reduction_inputs(graph, seed, spread)
+    results = _four_engines(
+        Network(graph), ColorReductionAlgorithm, BatchColorReductionAlgorithm,
+        inputs, palette + 5,
+    )
+    _assert_all_match(*results)
+    outputs = results[0].outputs
+    delta = max(1, graph.max_degree())
+    for v in graph.vertices():
+        assert outputs[v] <= delta
+        for u in graph.neighbors(v):
+            assert outputs[u] != outputs[v]
+
+
+def test_color_reduction_wide_palette_falls_back_per_node(monkeypatch):
+    """Delta + 1 >= 63: can_run declines and the per-node program runs."""
+    graph = classic.star(63).freeze()
+    inputs, palette = _reduction_inputs(graph, 7, 2)
+    batched_runs = []
+    monkeypatch.setattr(
+        BatchColorReductionAlgorithm, "initialize_batch",
+        lambda self, context: batched_runs.append(context),
+    )
+    _assert_all_match(*_four_engines(
+        Network(graph), ColorReductionAlgorithm, BatchColorReductionAlgorithm,
+        inputs, palette + 5,
+    ))
+    assert not batched_runs
 
 
 def test_wave_path_lower_bound_signature():

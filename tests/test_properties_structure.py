@@ -2,7 +2,10 @@
 
 import math
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graphs.generators import classic, planar
 from repro.graphs.properties.blocks import (
@@ -202,6 +205,72 @@ def test_find_clique_small_sizes():
     from repro.graphs import Graph
 
     assert find_clique_of_size(Graph(), 1) is None
+
+
+def _octahedron():
+    """K_{2,2,2}: degeneracy 4 but clique number 3."""
+    from repro.graphs import Graph
+
+    g = Graph()
+    for u in range(6):
+        for v in range(u + 1, 6):
+            if v != u + 3:
+                g.add_edge(u, v)
+    return g
+
+
+def _largest_clique(graph) -> int:
+    return max((len(c) for c in nx.find_cliques(graph.to_networkx())), default=0)
+
+
+@st.composite
+def _small_graphs(draw):
+    from repro.graphs import Graph
+
+    n = draw(st.integers(min_value=0, max_value=9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = Graph()
+    for v in range(n):
+        g.add_vertex(v)
+    for u, v in pairs:
+        if draw(st.booleans()):
+            g.add_edge(u, v)
+    return g
+
+
+@given(_small_graphs(), st.integers(min_value=1, max_value=6), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_find_clique_of_size_agrees_with_networkx(graph, size, frozen):
+    g = graph.freeze() if frozen else graph
+    found = find_clique_of_size(g, size)
+    assert (found is None) == (_largest_clique(graph) < size)
+    if found is not None:
+        assert len(set(found)) == size
+        assert is_clique(g, found)
+
+
+def test_find_clique_searches_when_degeneracy_allows(monkeypatch):
+    """The octahedron passes the degeneracy gate for K5, so the search runs."""
+    from repro.graphs.properties import cliques
+
+    calls = []
+    search = cliques._clique_in_neighborhood
+
+    def spy(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(cliques, "_clique_in_neighborhood", spy)
+    for g in (_octahedron(), _octahedron().freeze()):
+        assert degeneracy(g) == 4
+        calls.clear()
+        assert find_clique_of_size(g, 5) is None
+        assert calls
+        found = find_clique_of_size(g, 3)
+        assert found is not None and is_clique(g, found)
+    calls.clear()
+    assert find_clique_of_size(planar.stacked_triangulation(50, seed=2), 7) is None
+    assert not calls  # degeneracy 3 < 6: no search at all
 
 
 def test_is_clique_and_greedy():

@@ -72,9 +72,11 @@ seeds = st.integers(min_value=0, max_value=2**20)
 def test_counter_rng_matches_numpy_philox(seed, node, rnd):
     # numpy's Philox generator pre-increments the counter before its
     # first block, so counter=[rnd-1, node, 0, 0] yields the block our
-    # ladder computes at counter=[rnd, node, 0, 0]
+    # ladder computes at counter=[rnd, node, 0, 0].  The key goes in as a
+    # uint64 array: numpy converts a list holding a seed >= 2**63 lossily
     bits = np.random.Philox(
-        counter=[rnd - 1, node, 0, 0], key=[seed, KEY_SALT]
+        counter=[rnd - 1, node, 0, 0],
+        key=np.array([seed, KEY_SALT], dtype=np.uint64),
     ).random_raw(4)
     assert counter_rng_one(seed, node, rnd) == int(bits[0])
 

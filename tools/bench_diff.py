@@ -12,7 +12,7 @@ diffing.
 Usage::
 
     python tools/bench_diff.py OLD.json NEW.json [--max-regression PCT] \\
-        [--max-rss-regression PCT]
+        [--max-rss-regression PCT] [--exact]
 
 ``--max-regression 20`` exits non-zero if any matched row got more than
 20% slower; ``--max-rss-regression`` gates peak RSS the same way — the
@@ -21,6 +21,13 @@ with ``python -m repro run <scenario> --repeat 3``, which records
 median-of-K times, before trusting small deltas.  Peak RSS is a process
 high-water mark: within one artifact later rows can only grow, so compare
 like rows across artifacts, not rows within one.
+
+``--exact`` is a drift gate instead: it ignores timings and exits
+non-zero unless every row carries the same deterministic metrics on both
+sides — ``coloring_sha``, ``rounds``, ``colors``, ``n``, ``messages``,
+``log_sha`` and every ``*_digest``.  Diff a fresh full-size run against
+the committed artifact with it to prove a change left the outputs
+bit-identical.
 """
 
 from __future__ import annotations
@@ -59,6 +66,41 @@ def peak_rss(row: dict) -> int | None:
     return value if isinstance(value, int) and not isinstance(value, bool) else None
 
 
+#: row metrics that are deterministic functions of the code and the seed
+EXACT_METRICS = ("coloring_sha", "rounds", "colors", "n", "messages", "log_sha")
+
+
+def exact_metrics(row: dict) -> dict:
+    metrics = row.get("metrics")
+    if not isinstance(metrics, dict):
+        return {}
+    return {
+        key: value for key, value in metrics.items()
+        if key in EXACT_METRICS or key.endswith("_digest")
+    }
+
+
+def exact_mismatches(old_rows: dict, new_rows: dict) -> tuple[int, list[str]]:
+    """``(metrics compared, mismatch lines)`` over the union of both row sets."""
+    compared = 0
+    mismatches: list[str] = []
+    for key in dict.fromkeys([*old_rows, *new_rows]):
+        name = f"{key[0]} / {key[1]}"
+        old = exact_metrics(old_rows[key]) if key in old_rows else None
+        new = exact_metrics(new_rows[key]) if key in new_rows else None
+        if old is None or new is None:
+            if old or new:
+                side = "new" if old is not None else "old"
+                mismatches.append(f"{name}: missing from the {side} artifact")
+            continue
+        for metric in sorted(old.keys() | new.keys()):
+            compared += 1
+            before, after = old.get(metric, "<absent>"), new.get(metric, "<absent>")
+            if before != after:
+                mismatches.append(f"{name}: {metric} {before!r} -> {after!r}")
+    return compared, mismatches
+
+
 def fmt_mib(value: int | None) -> str:
     return f"{value / 2**20:.0f}M" if value is not None else "-"
 
@@ -77,6 +119,11 @@ def main(argv: list[str] | None = None) -> int:
         "--max-rss-regression", type=float, default=None, metavar="PCT",
         help="fail if any matched row's peak_rss_bytes grew more than PCT%%",
     )
+    parser.add_argument(
+        "--exact", action="store_true",
+        help="ignore timings; fail unless every row's deterministic metrics "
+             "(coloring_sha, rounds, colors, n, messages, log_sha, *_digest) match",
+    )
     args = parser.parse_args(argv)
 
     old_artifact, problems = load_artifact(args.old)
@@ -89,6 +136,17 @@ def main(argv: list[str] | None = None) -> int:
 
     old_rows = rows_by_key(old_artifact)
     new_rows = rows_by_key(new_artifact)
+    if args.exact:
+        compared, mismatches = exact_mismatches(old_rows, new_rows)
+        print(f"{args.old.name} -> {args.new.name}: {compared} deterministic "
+              f"metric(s) over {len(old_rows.keys() | new_rows.keys())} row(s)")
+        if mismatches:
+            print(f"{len(mismatches)} mismatch(es):", file=sys.stderr)
+            for line in mismatches:
+                print(f"  {line}", file=sys.stderr)
+            return 1
+        print("all identical")
+        return 0
     matched = [key for key in old_rows if key in new_rows]
     only_old = [key for key in old_rows if key not in new_rows]
     only_new = [key for key in new_rows if key not in old_rows]
