@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.graphs.frozen import GraphLike, freeze
+from repro.graphs.frozen import HAS_NUMPY, GraphLike, freeze
 from repro.graphs.graph import Vertex
 from repro.local.node import (
     BatchContext,
@@ -26,6 +26,9 @@ from repro.local.node import (
     segment_reduce,
 )
 from repro.local.simulator import SimulationResult, run_node_algorithm
+
+if HAS_NUMPY:
+    import numpy as _np
 
 __all__ = [
     "ColeVishkinForestColoring",
@@ -68,8 +71,8 @@ def _cole_vishkin_step(own: int, parent: int) -> int:
 class ColeVishkinForestColoring(NodeAlgorithm):
     """Node program: 3-color a rooted forest.
 
-    Input (per node): the identifier of its parent, or ``None`` for roots.
-    Output: a color in ``{0, 1, 2}``.
+    Input (per node): the identifier of its parent, or ``None`` (or ``0``,
+    which no identifier equals) for roots.  Output: a color in ``{0, 1, 2}``.
 
     Protocol:
       round 1           — neighbours exchange identifiers (port discovery);
@@ -374,11 +377,19 @@ def color_rooted_forest(
     """
     from repro.local.network import Network
 
-    network = Network(freeze(graph))
-    inputs: dict[Vertex, int | None] = {}
-    for v in graph:
-        parent = parents.get(v)
-        inputs[v] = None if parent is None else network.identifier_of[parent]
+    frozen = freeze(graph)
+    network = Network(frozen)
+    # index-aligned parent identifiers: the default order gives the vertex
+    # at frozen index i the identifier i + 1; 0 marks a root
+    index = frozen._index
+    parent_ids = (
+        0 if p is None else index[p] + 1 for p in map(parents.get, network.labels)
+    )
+    n = frozen.number_of_vertices()
+    inputs = (
+        _np.fromiter(parent_ids, dtype=_np.int64, count=n) if HAS_NUMPY
+        else list(parent_ids)
+    )
     algorithm = (
         BatchColeVishkinForestColoring if batched else ColeVishkinForestColoring
     )

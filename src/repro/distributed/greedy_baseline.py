@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.graphs.frozen import GraphLike, freeze
+from repro.graphs.frozen import HAS_NUMPY, GraphLike, freeze
 from repro.local.network import Network
 from repro.local.node import (
     BatchContext,
@@ -27,6 +27,9 @@ from repro.local.node import (
 )
 from repro.local.simulator import run_node_algorithm
 from repro.distributed.linial import DistributedColoringResult
+
+if HAS_NUMPY:
+    import numpy as _np
 
 __all__ = [
     "GreedyLocalMaximaAlgorithm",
@@ -239,18 +242,20 @@ def greedy_distributed_coloring(
     else:
         graph = network.graph
     delta = max(1, graph.max_degree())
+    n = graph.number_of_vertices()
     algorithm = (
         BatchGreedyLocalMaximaAlgorithm if batched else GreedyLocalMaximaAlgorithm
     )
     run = run_node_algorithm(
         graph,
         algorithm,
-        inputs={v: delta for v in graph},
-        max_rounds=graph.number_of_vertices() + 2,
+        # index-aligned: every node gets Δ
+        inputs=_np.full(n, delta, dtype=_np.int64) if HAS_NUMPY else [delta] * n,
+        max_rounds=n + 2,
         network=network,
     )
     return DistributedColoringResult(
-        coloring=dict(run.outputs),
+        coloring=dict(run.outputs.items()),
         rounds=run.rounds,
         messages=run.messages_sent,
         palette_size=delta + 1,

@@ -400,7 +400,7 @@ def delta_plus_one_coloring(
         network=network,
     )
     return DistributedColoringResult(
-        coloring=dict(reduction_run.outputs),
+        coloring=dict(reduction_run.outputs.items()),
         rounds=linial_run.rounds + reduction_run.rounds,
         messages=linial_run.messages_sent + reduction_run.messages_sent,
         palette_size=delta + 1,

@@ -408,7 +408,8 @@ def randomized_delta_plus_one_coloring(
     delta = max(1, graph.max_degree())
     if max_rounds is None:
         max_rounds = default_round_cap(graph.number_of_vertices())
-    inputs = {v: (int(seed), delta) for v in graph}
+    # index-aligned: every node gets the same (seed, Δ) pair
+    inputs = [(int(seed), delta)] * graph.number_of_vertices()
     captured: list[Any] = []
     use_batch = batched and delta + 2 < 63
 
@@ -442,7 +443,7 @@ def randomized_delta_plus_one_coloring(
             for r in range(1, run.rounds + 1)
         )
     return RandomizedColoringResult(
-        coloring=dict(run.outputs),
+        coloring=dict(run.outputs.items()),
         rounds=run.rounds,
         messages=run.messages_sent,
         palette_size=delta + 1,

@@ -17,10 +17,10 @@ static engine:
   lists, per-slot bisection for ``reverse_slot``); the reference.
 * ``flat`` — patch the edge-slot tables directly: the maintained
   per-node sorted adjacency is flattened into ``offsets``/``endpoints``
-  int64 arrays and ``reverse_slot`` is recovered with one vectorized
-  ``searchsorted`` over ``(src, dst)`` keys, the same trick the frozen
-  CSR fast path uses.  Falls back to the dict build when numpy is
-  unavailable.
+  int64 arrays and ``reverse_slot`` is recovered with one argsort of the
+  endpoints (:func:`~repro.local.network.fabric_from_arrays`, shared
+  with the frozen CSR fast path).  Falls back to the dict build when
+  numpy is unavailable.
 
 The parity tests assert both backends produce identical tables after
 identical edit sequences, which is what licenses the flat backend in
@@ -34,7 +34,12 @@ from bisect import bisect_left, insort
 from repro.errors import GraphError
 from repro.graphs.frozen import HAS_NUMPY, FrozenGraph, GraphLike, freeze
 from repro.graphs.graph import Graph, Vertex
-from repro.local.network import Network, RoutingFabric, _reverse_slots_python
+from repro.local.network import (
+    Network,
+    RoutingFabric,
+    _reverse_slots_python,
+    fabric_from_arrays,
+)
 
 __all__ = ["PerturbableNetwork"]
 
@@ -170,17 +175,4 @@ class PerturbableNetwork:
         endpoints_np = np.fromiter(
             (j for row in self._adj for j in row), dtype=np.int64, count=num_slots
         )
-        src = np.repeat(np.arange(n, dtype=np.int64), degrees)
-        # slots are sorted by (src, dst); the reverse of slot k is the
-        # position of key (dst, src) in that order
-        keys = src * n + endpoints_np
-        reverse_np = np.searchsorted(keys, endpoints_np * n + src)
-        return RoutingFabric(
-            offsets_np.tolist(),
-            endpoints_np.tolist(),
-            reverse_np.tolist(),
-            offsets_np=offsets_np,
-            endpoints_np=endpoints_np,
-            reverse_np=reverse_np,
-            sources_np=src,
-        )
+        return fabric_from_arrays(offsets_np, endpoints_np)

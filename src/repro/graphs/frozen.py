@@ -14,7 +14,9 @@ arrays in *compressed sparse row* (CSR) form:
 
 Vertex labels stay fully general (any hashable): a frozen graph stores the
 label list (index ``->`` label) and the inverse dict, so all public methods
-keep speaking the caller's vertex language.  When numpy is importable the
+keep speaking the caller's vertex language.  Labels that are exactly the
+ints ``0..n-1`` in order (:attr:`FrozenGraph.identity_labels`) are stored
+as a ``range`` with an O(1) index view instead.  When numpy is importable the
 arrays are numpy ``int64`` arrays and BFS / subgraph extraction are
 vectorized; otherwise plain Python lists are used with the same semantics
 (``use_numpy=False`` forces the fallback, which the parity tests exercise).
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Iterable, Iterator
+from itertools import chain
 from typing import Any, Protocol, runtime_checkable
 
 try:  # numpy is the fast backend; the library works without it
@@ -79,15 +82,19 @@ class _IdentityIndex:
         self._n = n
 
     def _as_index(self, v) -> int | None:
+        if type(v) is int:  # the common case, without the int() round trip
+            return v if 0 <= v < self._n else None
         try:
             i = int(v)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             return None
         if v == i and 0 <= i < self._n:
             return i
         return None
 
     def __getitem__(self, v) -> int:
+        if type(v) is int and 0 <= v < self._n:  # inlined fast path
+            return v
         i = self._as_index(v)
         if i is None:
             raise KeyError(v)
@@ -202,7 +209,15 @@ class FrozenGraph:
     # ------------------------------------------------------------------
     @classmethod
     def from_graph(cls, graph: "Graph | FrozenGraph", use_numpy: bool | None = None) -> "FrozenGraph":
-        """Freeze ``graph`` (returns it unchanged if already frozen with the same backend)."""
+        """Freeze ``graph`` (returns it unchanged if already frozen with the same backend).
+
+        On the numpy backend this stays in arrays: the adjacency sets are
+        flattened with one ``np.fromiter``, offsets come from a ``cumsum``
+        of the degrees, and one sort of the ``(src, dst)`` keys orders every
+        neighbour slice.  Labels are translated through an index dict only
+        when they are not the identity ``0..n-1``.  The pure-Python backend
+        sorts slice by slice.
+        """
         if isinstance(graph, FrozenGraph):
             if use_numpy is None or bool(use_numpy and HAS_NUMPY) == graph._use_numpy:
                 return graph
@@ -215,21 +230,38 @@ class FrozenGraph:
                 use_numpy=use_numpy,
             )
         labels = graph.vertices()
-        index = {v: i for i, v in enumerate(labels)}
-        offsets = [0] * (len(labels) + 1)
-        neighbors: list[int] = []
-        for i, v in enumerate(labels):
-            nbrs = sorted(index[u] for u in graph.neighbors(v))
-            neighbors.extend(nbrs)
-            offsets[i + 1] = len(neighbors)
-        return cls(
-            labels,
-            offsets,
-            neighbors,
-            name=graph.name,
-            metadata=graph.metadata,
-            use_numpy=use_numpy,
+        n = len(labels)
+        # labels exactly 0..n-1 in order (the rule of identity_labels) keep
+        # the range store and need no index translation
+        identity = labels == list(range(n)) and set(map(type, labels)) <= {int}
+        index = _IdentityIndex(n) if identity else {v: i for i, v in enumerate(labels)}
+        store = range(n) if identity else labels
+        meta = {"name": graph.name, "metadata": graph.metadata}
+        if not (HAS_NUMPY if use_numpy is None else use_numpy and HAS_NUMPY):
+            # the pure-Python backend: one sorted slice per vertex
+            offsets = [0] * (n + 1)
+            neighbors: list[int] = []
+            for i, v in enumerate(labels):
+                nbrs = sorted(index[u] for u in graph.neighbors(v))
+                neighbors.extend(nbrs)
+                offsets[i + 1] = len(neighbors)
+            return cls(store, offsets, neighbors, use_numpy=False, **meta)
+        adjacency = (
+            graph._adj.values() if isinstance(graph, Graph)
+            else [graph.neighbors(v) for v in labels]
         )
+        counts = _np.fromiter(map(len, adjacency), dtype=_np.int64, count=n)
+        offsets = _np.zeros(n + 1, dtype=_np.int64)
+        _np.cumsum(counts, out=offsets[1:])
+        flat = chain.from_iterable(adjacency)
+        if not identity:
+            flat = map(index.__getitem__, flat)
+        dst = _np.fromiter(flat, dtype=_np.int64, count=int(offsets[-1]))
+        # each row is contiguous, so sorting the (src, dst) keys sorts every
+        # neighbour slice in place; keys are distinct, any sort will do
+        base = _np.repeat(_np.arange(n, dtype=_np.int64) * n, counts)
+        neighbors_np = _np.sort(base + dst) - base
+        return cls(store, offsets, neighbors_np, use_numpy=True, **meta)
 
     @classmethod
     def from_edges(

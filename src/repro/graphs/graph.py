@@ -46,8 +46,9 @@ class Graph:
     the resulting :class:`~repro.graphs.frozen.FrozenGraph` — an immutable
     CSR snapshot with O(1) degrees, array-backed neighbour slices, vectorized
     BFS/subgraphs and cached global statistics — to the algorithm.  Freezing
-    costs one O(n + m log d) pass; ``FrozenGraph.thaw()`` converts back when
-    mutation is needed again.  Algorithms in :mod:`repro.graphs.properties`,
+    is one flattening pass over the adjacency sets plus one O(m log m) array
+    sort (about 0.1 s at n = 10^5, m = 2 * 10^5 on the numpy backend);
+    ``FrozenGraph.thaw()`` converts back when mutation is needed again.  Algorithms in :mod:`repro.graphs.properties`,
     :mod:`repro.core` and :mod:`repro.local` accept either representation.
 
     Parameters

@@ -20,18 +20,22 @@ names the receiver's inbox slot — instead of the two dict hops
 For a frozen graph with the default identifier order, the port tables are
 read zero-copy off the CSR arrays: identifiers follow the vertex indices and
 each CSR neighbour slice is already sorted by index, hence by identifier —
-no per-vertex sort is needed, and ``reverse_slot`` is computed with one
-vectorized ``searchsorted`` when numpy is available.
+no per-vertex sort is needed, and ``reverse_slot`` is one argsort of the
+endpoints when numpy is available (:func:`fabric_from_arrays`).
 
-The dict-based lookup API (:attr:`Network.ports`, :meth:`neighbor_on_port`,
-:meth:`port_towards`) is kept for callers and tests, derived lazily from the
-fabric.
+Everything else is built on first read: the fabric's Python-list views,
+the identifier dicts (:attr:`Network.identifier_of`,
+:attr:`Network.vertex_of`) and the dict-based lookup API
+(:attr:`Network.ports`, :meth:`neighbor_on_port`, :meth:`port_towards`),
+kept for the per-node engines, callers and tests.  A batched run reads
+only arrays.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Mapping
+from functools import cached_property
 from typing import Any
 
 from repro.graphs.frozen import HAS_NUMPY, FrozenGraph, GraphLike
@@ -42,17 +46,21 @@ if HAS_NUMPY:
 else:  # pragma: no cover - exercised on numpy-less installs
     _np = None
 
-__all__ = ["Network", "RoutingFabric"]
+__all__ = ["Network", "RoutingFabric", "fabric_from_arrays"]
 
 
 class RoutingFabric:
     """Flat-array routing tables of a port-numbered network.
 
-    All arrays are exposed twice: as plain Python lists (fast scalar access
-    for the per-node round loop) and — when numpy is available — as ``int64``
-    numpy arrays (the batched engine's data plane).  The list and array
-    views alias the same data where the backend allows (zero-copy off a
-    frozen graph's CSR cache).
+    The ``int64`` numpy arrays (``offsets_np``, ``endpoints_np``,
+    ``reverse_np``, ``degrees_np``) are the batched engine's data plane and
+    exist from construction when numpy is available.  The plain Python list
+    views (``offsets``, ``endpoints``, ``reverse_slot``, ``degrees``) serve
+    the scalar-indexing readers — the per-node round loop, the fault engine
+    and the ``ports``/``port_of`` tables — and are built on first read:
+    from the arrays, or from a frozen graph's cached ``csr_lists()`` when
+    the fabric is read zero-copy off its CSR.  A fabric built from lists
+    (the general path, or a numpy-less install) keeps them as given.
 
     Attributes
     ----------
@@ -67,52 +75,60 @@ class RoutingFabric:
     reverse_slot / reverse_np:
         The same edge seen from the other side: an involution with
         ``endpoints[reverse_slot[k]] == src(k)``.
-    degrees:
-        Per-node degree list (``offsets`` differences, precomputed).
+    degrees / degrees_np:
+        Per-node degrees (``offsets`` differences).
     """
-
-    __slots__ = (
-        "n", "num_slots", "offsets", "endpoints", "reverse_slot", "degrees",
-        "offsets_np", "endpoints_np", "reverse_np", "has_numpy", "_sources_np",
-        "degrees_np",
-    )
 
     def __init__(
         self,
-        offsets: list[int],
-        endpoints: list[int],
-        reverse_slot: list[int],
-        offsets_np=None,
-        endpoints_np=None,
-        reverse_np=None,
+        offsets,
+        endpoints,
+        reverse_slot,
+        *,
         sources_np=None,
+        csr_lists=None,
     ) -> None:
+        """``offsets``/``endpoints``/``reverse_slot`` are lists or arrays.
+
+        ``csr_lists`` optionally returns the ``(offsets, endpoints)`` list
+        views (a frozen graph's cached :meth:`~FrozenGraph.csr_lists`), so
+        the fabric shares them instead of converting its own copies.
+        """
         self.n = len(offsets) - 1
         self.num_slots = len(endpoints)
-        self.offsets = offsets
-        self.endpoints = endpoints
-        self.reverse_slot = reverse_slot
-        self.degrees = [offsets[i + 1] - offsets[i] for i in range(self.n)]
         self.has_numpy = HAS_NUMPY
+        self._csr_lists = csr_lists
+        self._sources_np = sources_np
+        if isinstance(offsets, list):  # the given lists are the list views
+            self.offsets, self.endpoints = offsets, endpoints
+            self.reverse_slot = reverse_slot
         if HAS_NUMPY:
-            self.offsets_np = (
-                offsets_np if offsets_np is not None
-                else _np.asarray(offsets, dtype=_np.int64)
-            )
-            self.endpoints_np = (
-                endpoints_np if endpoints_np is not None
-                else _np.asarray(endpoints, dtype=_np.int64)
-            )
-            self.reverse_np = (
-                reverse_np if reverse_np is not None
-                else _np.asarray(reverse_slot, dtype=_np.int64)
-            )
+            self.offsets_np = _np.asarray(offsets, dtype=_np.int64)
+            self.endpoints_np = _np.asarray(endpoints, dtype=_np.int64)
+            self.reverse_np = _np.asarray(reverse_slot, dtype=_np.int64)
+            self.degrees_np = _np.diff(self.offsets_np)
         else:  # pragma: no cover - exercised on numpy-less installs
             self.offsets_np = self.endpoints_np = self.reverse_np = None
-        self.degrees_np = (
-            _np.diff(self.offsets_np) if HAS_NUMPY else None
-        )
-        self._sources_np = sources_np
+            self.degrees_np = None
+
+    @cached_property
+    def offsets(self) -> list[int]:
+        return self._csr_lists()[0] if self._csr_lists else self.offsets_np.tolist()
+
+    @cached_property
+    def endpoints(self) -> list[int]:
+        return self._csr_lists()[1] if self._csr_lists else self.endpoints_np.tolist()
+
+    @cached_property
+    def reverse_slot(self) -> list[int]:
+        return self.reverse_np.tolist()
+
+    @cached_property
+    def degrees(self) -> list[int]:
+        if self.degrees_np is not None:
+            return self.degrees_np.tolist()
+        offsets = self.offsets
+        return [offsets[i + 1] - offsets[i] for i in range(self.n)]
 
     def sources_np(self):
         """Per-slot source node index (``sources[offsets[i]+p] == i``), cached.
@@ -139,24 +155,23 @@ def _reverse_slots_python(offsets: list[int], endpoints: list[int]) -> list[int]
     return reverse
 
 
-def _fabric_from_csr(offsets_np, endpoints_np, lists: tuple[list[int], list[int]]) -> RoutingFabric:
-    """Fabric straight off CSR arrays (default identifier order, numpy backend)."""
-    offsets_list, endpoints_list = lists
-    n = len(offsets_list) - 1
-    if HAS_NUMPY and offsets_np is not None:
-        degrees = _np.diff(offsets_np)
-        src = _np.repeat(_np.arange(n, dtype=_np.int64), degrees)
-        # directed edges are CSR-ordered, i.e. sorted by (src, dst); the
-        # reverse of slot k is the position of key (dst, src) in that order
-        keys = src * n + endpoints_np
-        reverse_np = _np.searchsorted(keys, endpoints_np * n + src)
-        return RoutingFabric(
-            offsets_list, endpoints_list, reverse_np.tolist(),
-            offsets_np=offsets_np, endpoints_np=endpoints_np,
-            reverse_np=reverse_np, sources_np=src,
-        )
-    reverse = _reverse_slots_python(offsets_list, endpoints_list)
-    return RoutingFabric(offsets_list, endpoints_list, reverse)
+def fabric_from_arrays(offsets_np, endpoints_np, csr_lists=None) -> RoutingFabric:
+    """Fabric of ``int64`` slot tables whose port slices are sorted by endpoint.
+
+    Node ``j`` receives on exactly ``deg(j)`` slots, so a stable argsort of
+    ``endpoints`` lists, from position ``offsets[j]`` on, the slots
+    ``i -> j`` in increasing ``i`` — the same order as ``j``'s own ports
+    ``j -> i``.  Hence ``reverse_slot`` *is* that argsort.  It is taken as
+    the argsort of the distinct ``(endpoint, source)`` keys, which orders
+    the slots identically and lets numpy use its faster unstable sort.
+    """
+    n = len(offsets_np) - 1
+    sources = _np.repeat(_np.arange(n, dtype=_np.int64), _np.diff(offsets_np))
+    reverse_np = _np.argsort(endpoints_np * n + sources)
+    return RoutingFabric(
+        offsets_np, endpoints_np, reverse_np,
+        sources_np=sources, csr_lists=csr_lists,
+    )
 
 
 class Network:
@@ -187,6 +202,7 @@ class Network:
         declared_n: int | None = None,
     ):
         self.graph = graph
+        self._explicit_ids: dict[Vertex, int] | None = None
         if identifiers is not None:
             if identifier_order is not None:
                 raise ValueError("pass identifier_order or identifiers, not both")
@@ -198,35 +214,61 @@ class Network:
             # ports enumerate neighbours by increasing identifier, exactly
             # like the default 1..n assignment enumerates them by index
             order = sorted(ids, key=ids.__getitem__)
-            self.identifier_of = ids
+            self._explicit_ids = ids
             self._default_order = False
+        elif identifier_order is None:
+            order = graph.vertices()
+            self._default_order = True
         else:
-            if identifier_order is None:
-                order = graph.vertices()
-            else:
-                order = list(identifier_order)
-                if set(order) != set(graph.vertices()):
-                    raise ValueError("identifier_order must be a permutation of the vertices")
-            self.identifier_of = {v: i + 1 for i, v in enumerate(order)}
-            self._default_order = identifier_order is None
+            order = list(identifier_order)
+            # a repeated vertex keeps the set intact, so check the length too
+            if len(order) != graph.number_of_vertices() or set(order) != set(
+                graph.vertices()
+            ):
+                raise ValueError("identifier_order must be a permutation of the vertices")
+            self._default_order = False
         self._order: list[Vertex] = order
-        self.vertex_of: dict[int, Vertex] = {
-            i: v for v, i in self.identifier_of.items()
-        }
-        self._index: dict[Vertex, int] = {v: i for i, v in enumerate(order)}
-        self.identifiers_list: list[int] = [self.identifier_of[v] for v in order]
         if declared_n is None:
             self.declared_n = len(order)
         else:
             self.declared_n = int(declared_n)
             if self.declared_n < len(order):
                 raise ValueError("declared_n must be at least the vertex count")
-        if self.identifiers_list and max(self.identifiers_list) > self.declared_n:
+        if self._explicit_ids and max(self._explicit_ids.values()) > self.declared_n:
             raise ValueError("identifiers must lie in 1..declared_n")
         self._fabric: RoutingFabric | None = None
         self._ports: dict[Vertex, list[Vertex]] | None = None
         self._port_of: dict[Vertex, dict[Vertex, int]] | None = None
         self._identifiers_np = None
+
+    # ------------------------------------------------------------------
+    # Identifier views, built on first read: a batched run needs none of
+    # them (identifiers are 1..n by node index unless ``identifiers`` says
+    # otherwise)
+    # ------------------------------------------------------------------
+    @cached_property
+    def identifier_of(self) -> dict[Vertex, int]:
+        """Vertex -> identifier."""
+        if self._explicit_ids is not None:
+            return self._explicit_ids
+        return {v: i for i, v in enumerate(self._order, 1)}
+
+    @cached_property
+    def vertex_of(self) -> dict[int, Vertex]:
+        """Identifier -> vertex."""
+        return {i: v for v, i in self.identifier_of.items()}
+
+    @cached_property
+    def _index(self) -> dict[Vertex, int]:
+        """Vertex -> node index."""
+        return {v: i for i, v in enumerate(self._order)}
+
+    @cached_property
+    def identifiers_list(self) -> list[int]:
+        """Identifiers by node index."""
+        if self._explicit_ids is None:
+            return list(range(1, len(self._order) + 1))
+        return [self._explicit_ids[v] for v in self._order]
 
     # ------------------------------------------------------------------
     # Flat-array data plane
@@ -247,9 +289,14 @@ class Network:
     def identifiers_np(self):
         """``identifiers_list`` as a cached ``int64`` array (numpy only)."""
         if self._identifiers_np is None and HAS_NUMPY:
-            self._identifiers_np = _np.asarray(
-                self.identifiers_list, dtype=_np.int64
-            )
+            if self._explicit_ids is None:
+                self._identifiers_np = _np.arange(
+                    1, len(self._order) + 1, dtype=_np.int64
+                )
+            else:
+                self._identifiers_np = _np.asarray(
+                    self.identifiers_list, dtype=_np.int64
+                )
         return self._identifiers_np
 
     def _build_fabric(self) -> RoutingFabric:
@@ -258,11 +305,13 @@ class Network:
             # zero-copy fast path: identifiers follow the CSR vertex indices
             # and each neighbour slice is already sorted by index
             offsets, neighbors = graph.csr_arrays()
-            if not graph._use_numpy:
-                return _fabric_from_csr(None, None, (offsets, neighbors))
-            return _fabric_from_csr(offsets, neighbors, graph.csr_lists())
+            if graph._use_numpy:
+                return fabric_from_arrays(offsets, neighbors, graph.csr_lists)
+            return RoutingFabric(
+                offsets, neighbors, _reverse_slots_python(offsets, neighbors)
+            )
         # general path: sort each neighbourhood by identifier
-        index = {v: i for i, v in enumerate(self._order)}
+        index = self._index
         offsets_list = [0] * (len(self._order) + 1)
         endpoints_list: list[int] = []
         for i, v in enumerate(self._order):
@@ -278,13 +327,10 @@ class Network:
     def ports(self) -> dict[Vertex, list[Vertex]]:
         """Per-vertex neighbour labels in port order (lazy)."""
         if self._ports is None:
-            fabric = self.fabric
+            offsets, endpoints = self.fabric.offsets, self.fabric.endpoints
             order = self._order
             self._ports = {
-                v: [
-                    order[fabric.endpoints[k]]
-                    for k in range(fabric.offsets[i], fabric.offsets[i + 1])
-                ]
+                v: [order[j] for j in endpoints[offsets[i] : offsets[i + 1]]]
                 for i, v in enumerate(order)
             }
         return self._ports
@@ -305,17 +351,13 @@ class Network:
         return self.declared_n
 
     def degree(self, v: Vertex) -> int:
-        i = self._index[v]
-        fabric = self.fabric
-        return fabric.offsets[i + 1] - fabric.offsets[i]
+        return len(self.ports[v])
 
     def neighbor_on_port(self, v: Vertex, port: int) -> Vertex:
-        i = self._index[v]
-        fabric = self.fabric
-        base = fabric.offsets[i]
-        if not 0 <= port < fabric.offsets[i + 1] - base:
+        neighbors = self.ports[v]
+        if not 0 <= port < len(neighbors):
             raise IndexError(f"vertex {v!r} has no port {port}")
-        return self._order[fabric.endpoints[base + port]]
+        return neighbors[port]
 
     def port_towards(self, v: Vertex, neighbor: Vertex) -> int:
         return self.port_of[v][neighbor]

@@ -221,6 +221,7 @@ class SynchronousSimulator:
         offsets = fabric.offsets
         endpoints = fabric.endpoints
         reverse_slot = fabric.reverse_slot
+        degrees = fabric.degrees
         labels = network.labels
         n = fabric.n
         identifiers = network.identifiers_list
@@ -234,7 +235,7 @@ class SynchronousSimulator:
                 NodeContext(
                     identifier=identifiers[i],
                     n=declared_n,
-                    degree=fabric.degrees[i],
+                    degree=degrees[i],
                     input=inputs_list[i],
                 )
             )

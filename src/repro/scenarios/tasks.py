@@ -830,8 +830,11 @@ def scale_coloring(handle, profile: bool = False) -> dict[str, Any]:
     Attaches zero-copy like :func:`scale_peel`, then runs the batched
     greedy local-maxima program through the synchronous simulator — the
     identity labels of the attached graph feed the flat fabric directly,
-    so the engine never materializes a vertex dict.
+    and the inputs go in as one index-aligned array, so the engine never
+    materializes a vertex dict.
     """
+    import numpy as np
+
     from repro.analysis import shared
     from repro.distributed.greedy_baseline import BatchGreedyLocalMaximaAlgorithm
     from repro.local.network import Network
@@ -846,7 +849,7 @@ def scale_coloring(handle, profile: bool = False) -> dict[str, Any]:
         network = Network(graph)
         network.fabric
     delta = max(1, graph.max_degree())
-    inputs = {v: delta for v in graph}
+    inputs = np.full(len(graph), delta, dtype=np.int64)
     with prof("solve"):
         start = time.perf_counter()
         result = SynchronousSimulator(network).run(

@@ -11,6 +11,8 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import GraphError
 from repro.graphs import FrozenGraph, Graph, freeze
@@ -244,3 +246,103 @@ def test_frozen_subgraph_of_frozen_stays_frozen_and_correct():
     expected = g.subgraph([v for v in g if sum(v) % 2 == 0])
     assert sub.degrees() == expected.degrees()
     assert sub.thaw() == expected
+
+
+# -- the vectorized freeze against the per-vertex (pure-Python) backend ------
+
+
+def _assert_freeze_backends_identical(g: Graph, identity: bool) -> None:
+    """numpy and pure-Python freezes agree exactly, labels included."""
+    fn = FrozenGraph.from_graph(g, use_numpy=True)
+    fp = FrozenGraph.from_graph(g, use_numpy=False)
+    assert fn.vertices() == fp.vertices() == g.vertices()
+    assert [type(v) for v in fn.vertices()] == [type(v) for v in g.vertices()]
+    offsets_n, neighbors_n = fn.csr_arrays()
+    offsets_p, neighbors_p = fp.csr_arrays()
+    assert offsets_n.tolist() == offsets_p
+    assert neighbors_n.tolist() == neighbors_p
+    assert fn.identity_labels is fp.identity_labels is identity
+    # identity graphs keep the range label store on both backends
+    assert isinstance(fn._labels, range) is isinstance(fp._labels, range) is identity
+    assert fn == g and fp == g
+
+
+def _is_identity(labels) -> bool:
+    return all(type(v) is int and v == i for i, v in enumerate(labels))
+
+
+@pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
+def test_vectorized_freeze_matches_python_backend_on_random_instances():
+    for seed in range(100):
+        g = random_instance(seed)
+        _assert_freeze_backends_identical(g, _is_identity(g.vertices()))
+
+
+@pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
+@pytest.mark.parametrize(
+    "labels",
+    [
+        [2, 0, 1],  # ints, out of order
+        [0, True, 2],  # True equals 1 but is no int
+        ["np.int64"],  # numpy integer labels (built below)
+        [0, 1.0, 2],  # 1.0 equals 1 but is no int
+        [(0, "a"), (1, "b"), (2, "c")],
+        ["x", "y", "z", "w"],
+        [0, 1, 2, 3, 4],  # identity, with isolated vertices
+        [],  # the empty graph
+    ],
+)
+def test_vectorized_freeze_label_edge_cases(labels):
+    import numpy as np
+
+    if labels == ["np.int64"]:
+        labels = [np.int64(i) for i in range(4)]
+    g = Graph(vertices=labels)
+    if len(labels) >= 3:
+        g.add_edge(labels[0], labels[2])
+        g.add_edge(labels[2], labels[1])
+    _assert_freeze_backends_identical(g, _is_identity(labels))
+
+
+@pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
+def test_vectorized_freeze_identity_keys_with_equal_neighbour_labels():
+    # keys 0..3 are plain ints, but the neighbour sets hold True and 2.0,
+    # which equal (and hash like) the vertices 1 and 2
+    g = Graph(vertices=range(4))
+    g.add_edge(True, 3)
+    g.add_edge(2.0, 0)
+    assert g.vertices() == [0, 1, 2, 3]
+    _assert_freeze_backends_identical(g, True)
+
+
+@st.composite
+def _labelled_graphs(draw):
+    n = draw(st.integers(min_value=0, max_value=25))
+    kind = draw(st.sampled_from(["identity", "shuffled", "strings", "tuples"]))
+    if kind == "identity":
+        labels = list(range(n))
+    elif kind == "shuffled":
+        labels = list(draw(st.permutations(range(n))))
+    elif kind == "strings":
+        labels = [f"v{i}" for i in range(n)]
+    else:
+        labels = [(i % 3, i) for i in range(n)]
+    g = Graph(vertices=labels)
+    if n >= 2:
+        pairs = draw(
+            st.lists(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                max_size=3 * n,
+            )
+        )
+        for i, j in pairs:
+            if i != j:
+                g.add_edge(labels[i], labels[j])
+    return g
+
+
+@pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
+@given(_labelled_graphs())
+@settings(max_examples=60, deadline=None)
+def test_vectorized_freeze_matches_python_backend_on_hypothesis_graphs(g):
+    _assert_freeze_backends_identical(g, _is_identity(g.vertices()))

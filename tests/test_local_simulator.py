@@ -42,6 +42,106 @@ def test_network_identifier_order_override():
         Network(g, identifier_order=[0, 1])
 
 
+def test_network_rejects_identifier_order_with_a_repeated_vertex():
+    # same vertex set, one vertex twice: not a permutation
+    g = classic.path(3)
+    with pytest.raises(ValueError, match="permutation"):
+        Network(g, identifier_order=[0, 0, 1, 2])
+    with pytest.raises(ValueError, match="permutation"):
+        Network(g.freeze(), identifier_order=[0, 1, 2, 2])
+
+
+def _eager_views(graph, order, ids):
+    """The identifier, port and slot tables built directly, vertex by vertex."""
+    index = {v: i for i, v in enumerate(order)}
+    ports = {v: sorted(graph.neighbors(v), key=ids.__getitem__) for v in order}
+    offsets, endpoints = [0], []
+    for v in order:
+        endpoints.extend(index[u] for u in ports[v])
+        offsets.append(len(endpoints))
+    return {
+        "identifier_of": dict(ids),
+        "vertex_of": {i: v for v, i in ids.items()},
+        "identifiers_list": [ids[v] for v in order],
+        "ports": ports,
+        "port_of": {v: {u: p for p, u in enumerate(ports[v])} for v in order},
+        "offsets": offsets,
+        "endpoints": endpoints,
+        "degrees": [len(ports[v]) for v in order],
+    }
+
+
+def _network_variants(graph):
+    vertices = graph.vertices()
+    shuffled = vertices[::-1]
+    spread = {v: 3 * i + 2 for i, v in enumerate(shuffled)}
+    yield Network(graph), vertices, {v: i + 1 for i, v in enumerate(vertices)}
+    yield (
+        Network(graph, identifier_order=shuffled),
+        shuffled,
+        {v: i + 1 for i, v in enumerate(shuffled)},
+    )
+    yield (
+        Network(graph, identifiers=spread, declared_n=3 * len(vertices) + 2),
+        shuffled,
+        spread,
+    )
+
+
+@pytest.mark.parametrize("frozen", [True, False])
+@pytest.mark.parametrize("seed", range(6))
+def test_fabric_and_lazy_views_match_eager_tables(frozen, seed):
+    from repro.graphs.generators import sparse
+    from repro.local.network import _reverse_slots_python
+
+    graph = sparse.union_of_random_forests(30 + seed, 2, seed=seed)
+    graph.add_vertex(10_000)  # an isolated vertex
+    if frozen:
+        graph = graph.freeze()
+    for net, order, ids in _network_variants(graph):
+        expected = _eager_views(graph, order, ids)
+        fabric = net.fabric
+        assert fabric.offsets == expected["offsets"]
+        assert fabric.endpoints == expected["endpoints"]
+        assert fabric.degrees == expected["degrees"]
+        reverse = _reverse_slots_python(fabric.offsets, fabric.endpoints)
+        assert fabric.reverse_slot == reverse
+        if fabric.has_numpy:
+            assert fabric.reverse_np.tolist() == reverse
+            assert fabric.offsets_np.tolist() == expected["offsets"]
+            assert fabric.endpoints_np.tolist() == expected["endpoints"]
+            assert fabric.degrees_np.tolist() == expected["degrees"]
+            assert net.identifiers_np.tolist() == expected["identifiers_list"]
+        # an involution that lands back on the sender
+        sources = [i for i, d in enumerate(expected["degrees"]) for _ in range(d)]
+        for slot, back in enumerate(reverse):
+            assert reverse[back] == slot
+            assert fabric.endpoints[back] == sources[slot]
+        assert net.identifier_of == expected["identifier_of"]
+        assert net.vertex_of == expected["vertex_of"]
+        assert net.identifiers_list == expected["identifiers_list"]
+        assert net.ports == expected["ports"]
+        assert net.port_of == expected["port_of"]
+        assert net.labels == order
+        for v in order:
+            assert net.degree(v) == len(expected["ports"][v])
+
+
+def test_default_network_builds_no_views_until_read():
+    net = Network(classic.cycle(8).freeze())
+    fabric = net.fabric
+    if not fabric.has_numpy:
+        pytest.skip("numpy not installed")
+    # a batched run reads only arrays: nothing list- or dict-shaped yet
+    # (a view, once built, is cached in the instance dict)
+    assert not {"identifier_of", "vertex_of", "_index", "identifiers_list"} & set(vars(net))
+    assert net._ports is None
+    assert not {"offsets", "endpoints", "reverse_slot", "degrees"} & set(vars(fabric))
+    assert net.identifiers_np.tolist() == list(range(1, 9))
+    assert fabric.reverse_slot == fabric.reverse_np.tolist()
+    assert "reverse_slot" in vars(fabric)
+
+
 # -- simple node programs --------------------------------------------------------
 
 class EchoDegree(NodeAlgorithm):
